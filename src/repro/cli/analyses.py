@@ -152,8 +152,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             result = evaluate_policy(study, policy, apps=TABLE2_APPS)
             print(report.render_policy_table(result))
         else:
-            results = [kill_policy_savings(study, app) for app in TABLE2_APPS]
-            print(report.render_table2(results))
+            print(_render_kill_table2(study))
     else:
         print(f"unknown table {args.number}", file=sys.stderr)
         return 2
@@ -228,9 +227,36 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print()
     print(report.render_table1(case_study_table(study)))
     print()
-    results = [kill_policy_savings(study, app) for app in TABLE2_APPS]
-    print(report.render_table2(results))
+    print(_render_kill_table2(study))
     return 0
+
+
+def _render_kill_table2(study) -> str:
+    """Table 2 over the :data:`TABLE2_APPS` that carry energy.
+
+    An app no user ran has nothing to kill (``kill_policy_savings``
+    refuses it), so it is left out and named in a note line; with all
+    six present the output is the plain table.
+    """
+    registry = study.dataset.registry
+    energy = study.energy_by_app()
+    present = [
+        app
+        for app in TABLE2_APPS
+        if app in registry and energy.get(registry.id_of(app), 0.0) > 0
+    ]
+    lines = []
+    if present:
+        results = [kill_policy_savings(study, app) for app in present]
+        lines.append(report.render_table2(results))
+    skipped = [app for app in TABLE2_APPS if app not in present]
+    if skipped:
+        lines.append(
+            "(Table 2 skips apps with no attributed energy in this study: "
+            + ", ".join(skipped)
+            + ")"
+        )
+    return "\n".join(lines)
 
 
 def _report_models(args: argparse.Namespace) -> int:

@@ -4,9 +4,9 @@ Two sources feed :class:`repro.stream.StreamIngestor`, both yielding
 one user's packets as a sequence of time-ordered, bounded-size
 :class:`~repro.trace.arrays.PacketArray` chunks:
 
-* :class:`CsvStreamSource` — the ``io_text`` CSV schemas, parsed row
-  by row through the same lazy iterators the batch reader uses
-  (:func:`repro.trace.io_text.iter_packet_rows`), so app registration
+* :class:`CsvStreamSource` — the ``io_text`` CSV schemas, parsed in
+  bounded column blocks by the same block reader the batch reader uses
+  (:func:`repro.trace.io_text.iter_packet_blocks`), so app registration
   order — and therefore every app id — is identical to
   :func:`repro.trace.io_text.dataset_from_csv` over the same files.
 * :class:`NpzStreamSource` — a saved :class:`~repro.trace.dataset.Dataset`
@@ -37,7 +37,7 @@ from repro.trace.intervals import label_packet_states
 from repro.trace.io_text import (
     PathLike,
     iter_event_rows,
-    iter_packet_rows,
+    iter_packet_blocks,
 )
 
 #: Default rows per chunk — small enough that a chunk of the paper-scale
@@ -141,17 +141,26 @@ class CsvStreamSource:
             # Line numbers, not surviving-row ordinals: with quarantine
             # dropping rows the two diverge, and "sort the file" advice
             # must point at the actual offending file line.
-            for line_num, row in self._packet_rows(
-                packets_path, on_bad_row=on_bad, with_line_numbers=True
+            for line_numbers, block in self._packet_blocks(
+                packets_path, on_bad_row=on_bad
             ):
-                count += 1
-                if last_ts is not None and row[0] < last_ts:
+                ts = block.timestamps
+                count += len(ts)
+                # Each row against the row before it; the block's first
+                # against the previous block's last.
+                before = np.concatenate(
+                    ([-np.inf if last_ts is None else last_ts], ts[:-1])
+                )
+                backward = np.flatnonzero(ts < before)
+                if len(backward):
+                    i = int(backward[0])
                     raise StreamError(
-                        f"{packets_path.name}:{line_num}: packets not "
-                        f"time-sorted (t={row[0]} after t={last_ts}); "
+                        f"{packets_path.name}:{line_numbers[i]}: packets not "
+                        f"time-sorted (t={float(ts[i])} after "
+                        f"t={float(before[i])}); "
                         "sort the file before streaming it"
                     )
-                last_ts = row[0]
+                last_ts = float(ts[-1])
             if last_ts is not None:
                 horizon = max(horizon, last_ts)
             events = EventLog()
@@ -187,21 +196,19 @@ class CsvStreamSource:
         """One user's full event log (loaded in the prepass)."""
         return self._events[user_id]
 
-    def _packet_rows(
+    def _packet_blocks(
         self,
         packets_path: Path,
         on_bad_row=None,
         inject: bool = False,
-        with_line_numbers: bool = False,
-    ) -> Iterator[Tuple[float, int, int, int, int]]:
-        """One file's rows with trace defects surfaced as StreamError."""
+    ) -> Iterator[Tuple[np.ndarray, PacketArray]]:
+        """One file's row blocks, trace defects surfaced as StreamError."""
         try:
-            yield from iter_packet_rows(
+            yield from iter_packet_blocks(
                 packets_path,
                 self.registry,
                 on_bad_row=on_bad_row,
                 inject=inject,
-                with_line_numbers=with_line_numbers,
             )
         except TraceError as exc:
             raise StreamError(f"malformed packet row: {exc}") from exc
@@ -224,32 +231,33 @@ class CsvStreamSource:
         packets_path, _ = self._files[user_id - 1]
         events = self._events[user_id]
         on_bad = self._drop_silently if self._quarantine_rows else None
-        rows: List[Tuple[float, int, int, int, int]] = []
-        for i, row in enumerate(
-            self._packet_rows(packets_path, on_bad_row=on_bad, inject=True)
+        pending: List[PacketArray] = []
+        held = 0
+        for _, block in self._packet_blocks(
+            packets_path, on_bad_row=on_bad, inject=True
         ):
-            if i < skip:
-                continue
-            rows.append(row)
-            if len(rows) >= self.chunk_size:
-                yield self._chunk_from_rows(rows, events)
-                rows = []
-        if rows:
-            yield self._chunk_from_rows(rows, events)
+            if skip:
+                dropped = min(skip, len(block))
+                skip -= dropped
+                block = block[dropped:]
+                if not len(block):
+                    continue
+            pending.append(block)
+            held += len(block)
+            while held >= self.chunk_size:
+                rows = (
+                    pending[0]
+                    if len(pending) == 1
+                    else PacketArray.concat(pending)
+                )
+                rest = rows[self.chunk_size :]
+                yield self._labelled(rows[: self.chunk_size], events)
+                pending, held = [rest], len(rest)
+        if held:
+            yield self._labelled(PacketArray.concat(pending), events)
 
-    def _chunk_from_rows(
-        self,
-        rows: List[Tuple[float, int, int, int, int]],
-        events: EventLog,
-    ) -> PacketArray:
-        columns = list(zip(*rows))
-        chunk = PacketArray.from_columns(
-            np.array(columns[0], dtype=np.float64),
-            np.array(columns[1], dtype=np.uint32),
-            np.array(columns[2], dtype=np.uint8),
-            np.array(columns[3], dtype=np.uint16),
-            np.array(columns[4], dtype=np.uint32),
-        )
+    @staticmethod
+    def _labelled(chunk: PacketArray, events: EventLog) -> PacketArray:
         # Labelling is elementwise (per-app searchsorted against the
         # full event log), so labelling chunk-by-chunk writes the exact
         # labels the batch reader's whole-trace pass would.

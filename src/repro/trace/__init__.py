@@ -34,6 +34,7 @@ from repro.trace.summary import DatasetSummary, UserSummary, summarize
 from repro.trace.io_text import (
     dataset_from_csv,
     iter_event_rows,
+    iter_packet_blocks,
     iter_packet_rows,
     read_events_csv,
     read_packets_csv,
@@ -62,6 +63,7 @@ __all__ = [
     "app_state_intervals",
     "dataset_from_csv",
     "iter_event_rows",
+    "iter_packet_blocks",
     "iter_packet_rows",
     "read_events_csv",
     "read_packets_csv",

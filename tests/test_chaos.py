@@ -219,6 +219,19 @@ def test_corrupt_row_plans(seed, csv_study, tmp_path):
     assert_streams_equal_batch(result, study)
 
 
+def test_armed_row_site_fires_once_per_row(csv_study):
+    """An armed plan sends the CSV read down the row parser, so the
+    ``io.packet_row`` site keeps firing exactly once per packet row —
+    and a plan that never strikes changes no number."""
+    pairs, study = csv_study
+    plan = FaultPlan([FaultSpec("io.packet_row", "corrupt", hit=10**9)])
+    with faults.installed(plan):
+        result = StreamIngestor(CsvStreamSource(pairs, chunk_size=CHUNK)).run()
+        fired = faults.fire_count("io.packet_row")
+    assert fired == sum(len(trace.packets) for trace in study.dataset)
+    assert_streams_equal_batch(result, study)
+
+
 # ----------------------------------------------------------------------
 # Torn checkpoint writes (truncated mid-write, before the rename)
 # ----------------------------------------------------------------------

@@ -265,3 +265,35 @@ def test_ingest_no_cadence_table1_fails_typed(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "cadence" in captured.err
+
+
+# SMALL's study carries no energy for two of the six Table 2 apps.
+def test_table2_skips_apps_without_energy(capsys):
+    code, out = run(capsys, "table", "2", *SMALL)
+    assert code == 0
+    assert "Table 2: preemptively killing idle background apps" in out
+    assert "weibo" not in out.splitlines()[1]  # header row
+    assert out.rstrip().splitlines()[-1] == (
+        "(Table 2 skips apps with no attributed energy in this study: "
+        "com.sina.weibo, com.espn.score_center)"
+    )
+
+
+def test_report_renders_table2_when_an_app_is_absent(capsys):
+    code, out = run(capsys, "report", *SMALL)
+    assert code == 0
+    assert "Table 2: preemptively killing idle background apps" in out
+    assert out.rstrip().endswith("com.sina.weibo, com.espn.score_center)")
+
+
+def test_table2_unchanged_when_all_apps_present(medium_study):
+    """With all six apps carrying energy there is no note: the output
+    is exactly the plain Table 2."""
+    from repro.cli import TABLE2_APPS
+    from repro.cli.analyses import _render_kill_table2
+    from repro.core import kill_policy_savings, report
+
+    expected = report.render_table2(
+        [kill_policy_savings(medium_study, app) for app in TABLE2_APPS]
+    )
+    assert _render_kill_table2(medium_study) == expected

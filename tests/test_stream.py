@@ -26,6 +26,7 @@ from repro.stream import (
     StreamCheckpoint,
     StreamIngestor,
 )
+from repro.trace import io_text
 from repro.trace.io_text import (
     dataset_from_csv,
     write_events_csv,
@@ -286,7 +287,21 @@ def test_split_policy_stream_identical(saved_study):
     assert_streams_equal_batch(result, study)
 
 
-def test_csv_stream_identical_to_batch(tmp_path):
+def block_bounds(monkeypatch, *crossing):
+    """Run a CSV case under each packets-CSV block bound in turn.
+
+    Yields ``None`` first — the default bound, larger than these test
+    files, so one block holds everything — then each ``crossing``
+    bound, chosen so a block edge falls at the row the case is about.
+    """
+    for block_lines in (None,) + crossing:
+        with monkeypatch.context() as patch:
+            if block_lines is not None:
+                patch.setattr(io_text, "_PACKET_BLOCK_LINES", block_lines)
+            yield block_lines
+
+
+def test_csv_stream_identical_to_batch(tmp_path, monkeypatch):
     dataset = generate_study(StudyConfig(n_users=2, duration_days=4, seed=5))
     pairs = []
     for trace in dataset:
@@ -296,26 +311,30 @@ def test_csv_stream_identical_to_batch(tmp_path):
         write_events_csv(e, trace.events, dataset.registry)
         pairs.append((p, e))
     study = StudyEnergy(dataset_from_csv(pairs))
-    source = CsvStreamSource(pairs, chunk_size=189)
-    result = StreamIngestor(source).run()
-    assert_streams_equal_batch(result, study)
-    # The prepass must reproduce the batch reader's registry exactly.
-    batch_registry = dataset_from_csv(pairs).registry
-    assert source.registry.to_json() == batch_registry.to_json()
+    # 100-line blocks cross the 189-row chunk edges at shifting offsets.
+    for _ in block_bounds(monkeypatch, 100):
+        source = CsvStreamSource(pairs, chunk_size=189)
+        result = StreamIngestor(source).run()
+        assert_streams_equal_batch(result, study)
+        # The prepass must reproduce the batch reader's registry exactly.
+        batch_registry = dataset_from_csv(pairs).registry
+        assert source.registry.to_json() == batch_registry.to_json()
 
 
-def test_csv_source_rejects_unsorted(tmp_path):
+def test_csv_source_rejects_unsorted(tmp_path, monkeypatch):
     path = tmp_path / "p.csv"
     path.write_text(
         "timestamp,size,direction,app\n"
         "10.0,100,up,a.one\n"
         "5.0,100,down,a.two\n"
     )
-    with pytest.raises(StreamError, match="not time-sorted"):
-        CsvStreamSource([(path, None)])
+    # One-line blocks put the out-of-order row across a block edge.
+    for _ in block_bounds(monkeypatch, 1):
+        with pytest.raises(StreamError, match=r"p\.csv:3: .*not time-sorted"):
+            CsvStreamSource([(path, None)])
 
 
-def test_csv_source_unsorted_error_reports_file_line(tmp_path):
+def test_csv_source_unsorted_error_reports_file_line(tmp_path, monkeypatch):
     """With quarantine dropping rows before the defect, the error must
     name the actual file line of the out-of-order row — a surviving-row
     ordinal would misdirect whoever is told to sort the file."""
@@ -326,10 +345,12 @@ def test_csv_source_unsorted_error_reports_file_line(tmp_path):
         "10.0,100,up,a.one\n"  # line 3
         "5.0,100,down,a.two\n"  # line 4: out of order
     )
-    with pytest.raises(
-        StreamError, match=r"p\.csv:4: packets not time-sorted"
-    ):
-        CsvStreamSource([(path, None)], quarantine_rows=True)
+    # 1- and 2-line blocks part the quarantined row from the defect.
+    for _ in block_bounds(monkeypatch, 1, 2):
+        with pytest.raises(
+            StreamError, match=r"p\.csv:4: packets not time-sorted"
+        ):
+            CsvStreamSource([(path, None)], quarantine_rows=True)
 
 
 # ----------------------------------------------------------------------
@@ -563,10 +584,12 @@ def test_missing_current_falls_back_to_previous(tmp_path):
 # ----------------------------------------------------------------------
 # Row quarantine (malformed CSV rows dropped, counted, sampled)
 # ----------------------------------------------------------------------
-def test_csv_row_quarantine_identity(tmp_path):
+def test_csv_row_quarantine_identity(tmp_path, monkeypatch):
     """With ``quarantine_rows=True`` malformed rows are dropped and the
     streamed totals stay bit-identical to a batch run over the clean
-    file; without it the prepass aborts with a typed error."""
+    file; without it the prepass aborts with a typed error. Block
+    bounds of 29 and 30 lines make bad file line 31 the first and the
+    last row of its block."""
     from repro.metrics import RunMetrics
 
     dataset = generate_study(StudyConfig(n_users=2, duration_days=2, seed=31))
@@ -590,20 +613,23 @@ def test_csv_row_quarantine_identity(tmp_path):
     dirty.write_text("\n".join(lines) + "\n")
     dirty_pairs = [(dirty, pairs[0][1])] + pairs[1:]
 
-    with pytest.raises(StreamError, match="malformed packet row"):
-        CsvStreamSource(dirty_pairs, chunk_size=97)
+    for _ in block_bounds(monkeypatch, 29, 30):
+        with pytest.raises(StreamError, match="malformed packet row"):
+            CsvStreamSource(dirty_pairs, chunk_size=97)
 
-    source = CsvStreamSource(dirty_pairs, chunk_size=97, quarantine_rows=True)
-    assert source.quarantine.count == 3
-    assert len(source.quarantine.samples) == 3
-    assert any("not-a-time" in s for s in source.quarantine.samples)
-    # Rows quarantined before the app field parses must not have
-    # registered their app name.
-    assert source.registry.to_json() == clean_registry.to_json()
+        source = CsvStreamSource(
+            dirty_pairs, chunk_size=97, quarantine_rows=True
+        )
+        assert source.quarantine.count == 3
+        assert len(source.quarantine.samples) == 3
+        assert any("not-a-time" in s for s in source.quarantine.samples)
+        # Rows quarantined before the app field parses must not have
+        # registered their app name.
+        assert source.registry.to_json() == clean_registry.to_json()
 
-    metrics = RunMetrics()
-    result = StreamIngestor(source, metrics=metrics).run()
-    assert_streams_equal_batch(result, study)
-    assert metrics.counter("faults.rows_quarantined") == 3
-    assert len(metrics.samples("faults.rows_quarantined")) == 3
-    assert "faults.rows_quarantined" in metrics.as_dict()["samples"]
+        metrics = RunMetrics()
+        result = StreamIngestor(source, metrics=metrics).run()
+        assert_streams_equal_batch(result, study)
+        assert metrics.counter("faults.rows_quarantined") == 3
+        assert len(metrics.samples("faults.rows_quarantined")) == 3
+        assert "faults.rows_quarantined" in metrics.as_dict()["samples"]
