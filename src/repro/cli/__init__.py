@@ -59,6 +59,7 @@ shared helper kit (:mod:`~repro.cli._shared`), composed by
 # check against); the names below are re-exported here because this
 # package has always been their import site.
 from repro.exitcodes import (
+    EXIT_BAD_INPUT,
     EXIT_FOLLOW_INTERRUPTED,
     EXIT_NEEDS_PACKET_DETAIL,
     EXIT_OK,
@@ -73,6 +74,7 @@ from repro.cli._shared import TABLE2_APPS
 from repro.cli.parser import build_parser, main
 
 __all__ = [
+    "EXIT_BAD_INPUT",
     "EXIT_FOLLOW_INTERRUPTED",
     "EXIT_NEEDS_PACKET_DETAIL",
     "EXIT_OK",

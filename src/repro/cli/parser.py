@@ -19,9 +19,12 @@ from repro.errors import (
     NeedsPacketDetail,
     ShardIncomplete,
     SourceTruncated,
+    StreamError,
+    TraceError,
     TransportError,
 )
 from repro.exitcodes import (
+    EXIT_BAD_INPUT,
     EXIT_NEEDS_PACKET_DETAIL,
     EXIT_SHARD_INCOMPLETE,
     EXIT_SOURCE_TRUNCATED,
@@ -82,6 +85,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SourceTruncated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOURCE_TRUNCATED
+    # Last: the typed stream failures above are StreamErrors too.
+    except (TraceError, StreamError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     out = getattr(args, "metrics_json", None)
     if out:
         metrics.write_json(out)

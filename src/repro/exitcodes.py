@@ -22,6 +22,10 @@ here, so the numbers cannot drift.
 * ``EXIT_TRANSPORT_FAILED`` — a remote-transport shard run could not
   place every shard after retries and reassignment
   (:class:`~repro.errors.TransportError`); no merge was attempted.
+* ``EXIT_BAD_INPUT`` — malformed input
+  (:class:`~repro.errors.TraceError`, or any other
+  :class:`~repro.errors.StreamError`): one ``error:`` line on stderr,
+  no traceback.
 """
 
 EXIT_OK = 0
@@ -32,3 +36,4 @@ EXIT_SHARD_INCOMPLETE = 5
 EXIT_FOLLOW_INTERRUPTED = 6
 EXIT_SOURCE_TRUNCATED = 7
 EXIT_TRANSPORT_FAILED = 8
+EXIT_BAD_INPUT = 9

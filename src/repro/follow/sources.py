@@ -26,8 +26,6 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro import faults
 from repro.errors import FollowError, SourceTruncated, StreamError, TraceError
 from repro.follow.windows import FOLLOW_WINDOW_END
@@ -40,6 +38,7 @@ from repro.trace.io_text import (
     PACKET_COLUMNS,
     PathLike,
     iter_event_rows,
+    packets_from_rows,
     parse_packet_fields,
 )
 
@@ -235,14 +234,7 @@ class TailCsvSource:
         cursor = self._cursors[user_id]
         cursor["offset"] = int(cursor["offset"]) + n_bytes
         cursor["rows"] = int(cursor["rows"]) + len(rows)
-        columns = list(zip(*rows))
-        chunk = PacketArray.from_columns(
-            np.array(columns[0], dtype=np.float64),
-            np.array(columns[1], dtype=np.uint32),
-            np.array(columns[2], dtype=np.uint8),
-            np.array(columns[3], dtype=np.uint16),
-            np.array(columns[4], dtype=np.uint32),
-        )
+        chunk = packets_from_rows(rows)
         label_packet_states(chunk, self._events[user_id])
         return chunk, self.cursor_snapshot(user_id)
 

@@ -324,7 +324,8 @@ def _parse_block(
     return line_numbers, packets
 
 
-def _packets_from_rows(rows: Sequence[PacketRow]) -> PacketArray:
+def packets_from_rows(rows: Sequence[PacketRow]) -> PacketArray:
+    """Columns of parsed packet rows (:func:`parse_packet_fields`)."""
     columns = list(zip(*rows))
     return PacketArray.from_columns(
         np.array(columns[0], dtype=np.float64),
@@ -348,7 +349,7 @@ def _row_blocks(
 
     def flush() -> Tuple[np.ndarray, PacketArray]:
         line_numbers = np.array([line for line, _ in batch], dtype=np.int64)
-        packets = _packets_from_rows([row for _, row in batch])
+        packets = packets_from_rows([row for _, row in batch])
         batch.clear()
         return line_numbers, packets
 
@@ -474,6 +475,10 @@ def iter_event_rows(
 
 
 def _parse_event_row(row, registry: AppRegistry) -> EventRow:
+    # csv.DictReader fills the fields a short row lacks with None.
+    missing = [name for name in ("timestamp", "kind") if row[name] is None]
+    if missing:
+        raise TraceError(f"row has no {'/'.join(missing)} field")
     timestamp = float(row["timestamp"])
     kind = row["kind"].strip().lower()
     if kind == "process":

@@ -267,6 +267,26 @@ def test_ingest_no_cadence_table1_fails_typed(tmp_path, capsys):
     assert "cadence" in captured.err
 
 
+def test_ingest_malformed_csv_exits_bad_input(tmp_path, capsys):
+    from repro.cli import EXIT_BAD_INPUT
+
+    packets = tmp_path / "p.csv"
+    packets.write_text(
+        "timestamp,size,direction,app,conn\n"
+        "1.0,100,down,a.one,1\n"
+        "2.0,-5,down,a.one,1\n"
+    )
+    code = main(
+        ["ingest", "--user", str(packets),
+         "--checkpoint", str(tmp_path / "ck.npz")]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT == 9
+    assert "Traceback" not in err
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert "p.csv:3:" in line
+
+
 # SMALL's study carries no energy for two of the six Table 2 apps.
 def test_table2_skips_apps_without_energy(capsys):
     code, out = run(capsys, "table", "2", *SMALL)

@@ -208,7 +208,7 @@ def run_rows(path, quarantine):
             rows.append((line, row))
     except Exception as exc:  # compared by class and message below
         raised = (type(exc), str(exc))
-    pairs = [(line, io_text._packets_from_rows([row])) for line, row in rows]
+    pairs = [(line, io_text.packets_from_rows([row])) for line, row in rows]
     return _outcome(pairs, registry, errors, raised)
 
 

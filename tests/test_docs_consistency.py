@@ -150,14 +150,14 @@ def test_serving_md_exit_codes_match_cli_constants():
 
 def test_scaling_md_exit_codes_match_cli_constants():
     """docs/SCALING.md documents the full exit-code set including the
-    shard-merge refusal and transport-failure codes."""
+    shard-merge refusal, transport-failure and bad-input codes."""
     from repro import cli
 
     rows = {
         span: line
         for span, line in _table_first_cells(SCALING_MD, "CLI exit codes")
     }
-    assert set(rows) == {"0", "2", "3", "4", "5", "8"}
+    assert set(rows) == {"0", "2", "3", "4", "5", "8", "9"}
     assert cli.EXIT_SHARD_INCOMPLETE == 5
     assert "ShardIncomplete" in rows[str(cli.EXIT_SHARD_INCOMPLETE)]
     assert "repro shard run" in rows[str(cli.EXIT_SHARD_INCOMPLETE)]
@@ -165,6 +165,8 @@ def test_scaling_md_exit_codes_match_cli_constants():
     transport_row = rows[str(cli.EXIT_TRANSPORT_FAILED)]
     assert "TransportError" in transport_row
     assert "repro shard run" in transport_row
+    assert cli.EXIT_BAD_INPUT == 9
+    assert "TraceError" in rows[str(cli.EXIT_BAD_INPUT)]
 
 
 def test_monitoring_md_exit_codes_match_cli_constants():

@@ -29,7 +29,14 @@ from repro.core.statefrac import state_energy_fractions
 from repro.core.whatif import kill_policy_savings
 from repro.errors import AnalysisError, NeedsPacketDetail, StreamError
 from repro import StudyConfig, generate_study
-from repro.stream import NpzStreamSource, StreamIngestor
+from repro.stream import (
+    CadenceTracker,
+    NpzStreamSource,
+    StreamCheckpoint,
+    StreamIngestor,
+)
+
+from cadence_oracle import _ReferenceCadenceTracker, assert_cadence_equal
 
 CASE_APP = "com.sec.spp.push"
 
@@ -141,6 +148,25 @@ def test_background_cadence_exact(readouts):
             assert mine.n_bursts == ref.n_bursts
             assert np.array_equal(mine.intervals, ref.intervals)
         assert got.update_frequency() == want.update_frequency()
+
+
+@pytest.mark.parametrize("chunk_size", [64, 257])
+def test_checkpointed_cadence_matches_reference(corpus, chunk_size):
+    """Every user's checkpointed cadence payload equals the per-group
+    oracle's over the same chunks, member for member and dtype for
+    dtype; the tracker rebuilt from it summarises identically."""
+    _, ck = _ingest(corpus, chunk_size, 1, f"oracle_{chunk_size}")
+    saved = {u.user_id: u.cadence for u in StreamCheckpoint.load(ck).users}
+    source = NpzStreamSource(corpus[0], chunk_size=chunk_size)
+    for uid in source.user_ids:
+        reference = _ReferenceCadenceTracker()
+        for chunk in source.iter_chunks(uid):
+            reference.observe(chunk)
+        for name, array in reference.payload().items():
+            assert saved[uid][name].dtype == array.dtype, name
+            assert np.array_equal(saved[uid][name], array, equal_nan=True)
+        tracker = CadenceTracker.from_payload(saved[uid])
+        assert_cadence_equal(tracker, reference)
 
 
 def test_cadence_non_default_gaps_need_packets(readouts):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import StudyConfig, StudyEnergy, generate_study
 from repro.errors import StreamError, TraceError
@@ -21,12 +22,15 @@ from repro.radio.lte import LTE_DEFAULT
 from repro.radio.streaming import RadioCarry, StreamingAttribution
 from repro.radio.vectorized import SUM_BLOCK, blocked_sum
 from repro.stream import (
+    CadenceTracker,
     CsvStreamSource,
     NpzStreamSource,
     StreamCheckpoint,
     StreamIngestor,
 )
 from repro.trace import io_text
+from repro.trace.arrays import PacketArray
+from repro.trace.events import ProcessState
 from repro.trace.io_text import (
     dataset_from_csv,
     write_events_csv,
@@ -34,6 +38,7 @@ from repro.trace.io_text import (
 )
 from repro.trace.packet import Direction
 
+from cadence_oracle import _ReferenceCadenceTracker, assert_cadence_equal
 from conftest import make_packets
 
 
@@ -256,6 +261,137 @@ def test_radio_carry_payload_roundtrip():
     )
     assert np.array_equal(got, expected)
     assert idle == expected_idle
+
+
+# ----------------------------------------------------------------------
+# CadenceTracker: differential against the per-group oracle at chunk edges
+# ----------------------------------------------------------------------
+FLOW_GAP = CadenceTracker().flow_gap
+BURST_GAP = CadenceTracker().burst_gap
+BG = int(ProcessState.BACKGROUND)
+FG = int(ProcessState.FOREGROUND)
+
+
+def _cadence_packets(times, apps, conns, states):
+    n = len(times)
+    packets = PacketArray.from_columns(
+        np.asarray(times, dtype=np.float64),
+        np.full(n, 100, dtype=np.uint32),
+        np.zeros(n, dtype=np.uint8),
+        np.asarray(apps, dtype=np.uint16),
+        np.asarray(conns, dtype=np.uint32),
+    )
+    packets.data["state"] = states
+    return packets
+
+
+def _feed(tracker, packets, bounds):
+    """Feed ``packets[bounds[i]:bounds[i + 1]]`` chunk by chunk."""
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        tracker.observe(PacketArray(packets.data[lo:hi]))
+    return tracker
+
+
+@st.composite
+def cadence_runs(draw):
+    """A random trace (gaps often exactly ``flow_gap``/``burst_gap``,
+    mixed foreground/background states), random chunk bounds (repeats
+    make empty chunks) and a resume point."""
+    n = draw(st.integers(0, 60))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    steps = column(
+        st.sampled_from(
+            [0.0, 0.5, BURST_GAP - 1, BURST_GAP, BURST_GAP + 0.5,
+             FLOW_GAP - BURST_GAP, FLOW_GAP, FLOW_GAP + 1, 3 * FLOW_GAP]
+        )
+    )
+    apps = column(st.integers(0, 4))
+    conns = column(st.sampled_from([0, 1, 2, 2**32 - 1]))
+    states = column(st.sampled_from([int(s) for s in ProcessState]))
+    cuts = draw(st.lists(st.integers(0, n), max_size=8))
+    bounds = [0, *sorted(cuts), n]
+    resume_at = draw(st.integers(0, len(bounds) - 1))
+    packets = _cadence_packets(np.cumsum(steps), apps, conns, states)
+    return packets, bounds, resume_at
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=cadence_runs())
+def test_cadence_matches_reference_any_chunking(run):
+    packets, bounds, resume_at = run
+    reference = _feed(_ReferenceCadenceTracker(), packets, bounds)
+    assert_cadence_equal(_feed(CadenceTracker(), packets, bounds), reference)
+    # Checkpoint mid-stream, resume, feed the rest: same as uninterrupted.
+    head, tail = bounds[: resume_at + 1], bounds[resume_at:]
+    resumed = CadenceTracker.from_payload(
+        _feed(CadenceTracker(), packets, head).payload()
+    )
+    assert_cadence_equal(_feed(resumed, packets, tail), reference)
+    # A payload written by the per-group tracker resumes identically.
+    legacy = _feed(_ReferenceCadenceTracker(), packets, head).payload()
+    resumed = CadenceTracker.from_payload(legacy)
+    assert_cadence_equal(_feed(resumed, packets, tail), reference)
+
+
+def test_cadence_gap_equal_to_threshold_is_not_a_break():
+    """The strict ``>`` rule on both gaps, across every chunk split."""
+    times = [0.0, BURST_GAP, BURST_GAP + 30.5, FLOW_GAP + BURST_GAP + 30.5,
+             2 * FLOW_GAP + BURST_GAP + 31.0]
+    packets = _cadence_packets(times, [1] * 5, [7] * 5, [BG] * 5)
+    want_intervals = np.array([BURST_GAP + 30.5, FLOW_GAP, FLOW_GAP + 0.5])
+    splits = [[0, 5], [0, 1, 2, 3, 4, 5], [0, 2, 5], [0, 3, 5], [0, 4, 5]]
+    for bounds in splits:
+        tracker = _feed(CadenceTracker(), packets, bounds)
+        ((app, (flows, bursts, intervals)),) = tracker.summary().items()
+        assert (app, flows, bursts) == (1, 2, 4), bounds
+        assert np.array_equal(intervals, want_intervals), bounds
+        assert_cadence_equal(
+            tracker, _feed(_ReferenceCadenceTracker(), packets, bounds)
+        )
+
+
+def test_cadence_empty_and_foreground_chunks_are_noops():
+    packets = _cadence_packets(
+        [0.0, 10.0, 50.0, 60.0, 200.0, 4000.0],
+        [1, 2, 1, 2, 1, 2],
+        [1, 1, 1, 1, 1, 1],
+        [BG, BG, FG, FG, BG, BG],
+    )
+    # [2, 2] is empty and [2, 4] all foreground.
+    bounds = [0, 2, 2, 4, 4, 6]
+    tracker = _feed(CadenceTracker(), packets, bounds[:3])
+    before = tracker.payload()
+    _feed(tracker, packets, [2, 2, 4])
+    after = tracker.payload()
+    for name, array in before.items():
+        assert np.array_equal(after[name], array, equal_nan=True), name
+    _feed(tracker, packets, [4, 6])
+    assert_cadence_equal(
+        tracker, _feed(_ReferenceCadenceTracker(), packets, bounds)
+    )
+    assert_cadence_equal(CadenceTracker(), _ReferenceCadenceTracker())
+
+
+def test_cadence_single_packet_groups_and_late_reappearance():
+    """Every (app, conn) group one packet per chunk, and an app absent
+    for many chunks: its carried state must bridge the whole gap."""
+    n = 40
+    times = np.arange(n) * (BURST_GAP + 1.0)
+    apps = np.where(np.arange(n) % 13 == 0, 9, np.arange(n) % 3)
+    conns = np.arange(n) % 5
+    packets = _cadence_packets(times, apps, conns, [BG] * n)
+    for step in (1, 3, 7):
+        bounds = list(range(0, n, step)) + [n]
+        tracker = _feed(CadenceTracker(), packets, bounds)
+        assert_cadence_equal(
+            tracker, _feed(_ReferenceCadenceTracker(), packets, bounds)
+        )
+        assert np.array_equal(
+            tracker.summary()[9][2], np.full(3, 13 * (BURST_GAP + 1.0))
+        )
 
 
 # ----------------------------------------------------------------------

@@ -177,6 +177,17 @@ def test_malformed_event_row_names_file_and_line(tmp_path):
         read_events_csv(path, AppRegistry())
 
 
+def test_short_event_row_is_a_located_trace_error(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_text(
+        "timestamp,kind,app,value\n"
+        "0.5,screen,,on\n"
+        "1.0\n"
+    )
+    with pytest.raises(TraceError, match=r"e\.csv:3: row has no kind field"):
+        read_events_csv(path, AppRegistry())
+
+
 def test_iterators_match_batch_readers(packets_file, events_file):
     from repro.trace.io_text import iter_event_rows, iter_packet_rows
 
